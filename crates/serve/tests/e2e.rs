@@ -283,8 +283,7 @@ fn stalled_clients_do_not_block_shutdown() {
         server.wait();
         let _ = tx.send(());
     });
-    rx.recv_timeout(Duration::from_secs(10))
-        .expect("shutdown must drain despite stalled clients");
+    rx.recv_timeout(Duration::from_secs(10)).expect("shutdown must drain despite stalled clients");
     drop(stalled);
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -176,9 +176,6 @@ mod tests {
         bus.record(&event("x"));
         assert!(matches!(sub.recv_timeout(Duration::from_millis(5)), BusRecv::Event(_)));
         drop(bus);
-        assert!(
-            matches!(sub.recv_timeout(Duration::from_millis(5)), BusRecv::Closed),
-            "bus gone"
-        );
+        assert!(matches!(sub.recv_timeout(Duration::from_millis(5)), BusRecv::Closed), "bus gone");
     }
 }

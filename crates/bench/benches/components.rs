@@ -12,7 +12,7 @@ use active_learning::evaluator::GbtEvaluator;
 use active_learning::sa::{simulated_annealing, SaOptions};
 use active_learning::ted::{ted, TedKernel};
 use dnn_graph::{models, task::extract_tasks};
-use gbt::{Gbt, GbtParams, Matrix};
+use gbt::{BaggedGbt, Gbt, GbtParams, Matrix};
 use gpu_sim::{GpuDevice, Measurer, SimMeasurer};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -25,10 +25,11 @@ fn bench_components(c: &mut Criterion) {
     let measurer = SimMeasurer::new(GpuDevice::gtx_1080_ti());
     let mut rng = ChaCha8Rng::seed_from_u64(7);
 
-    // TED over the paper's batch size (M=500 candidates -> m=64).
+    // TED over the paper's batch size (M=500 candidates -> m=64): the
+    // kernel matrix plus the greedy loop, which is most of the cost.
     let candidates = space.sample_distinct(&mut rng, 500);
     let feats: Vec<Vec<f64>> = candidates.iter().map(|cfg| features(&space, cfg)).collect();
-    c.bench_function("ted_500_to_64", |b| {
+    c.bench_function("ted_greedy_500_to_64", |b| {
         b.iter(|| black_box(ted(&feats, 0.1, 64, TedKernel::Euclidean)));
     });
 
@@ -48,6 +49,13 @@ fn bench_components(c: &mut Criterion) {
             b.iter(|| black_box(Gbt::fit(&p, &x, &ys, 0)));
         });
     }
+
+    // One Γ=2 bagged refit at BAO's typical dataset size (~110 measured
+    // configurations): two bootstrap resamples, one boosted model each.
+    let x_bao = Matrix::from_rows(&rows[..110]);
+    c.bench_function("gbt_fit_110x22_gamma2", |b| {
+        b.iter(|| black_box(BaggedGbt::fit(&GbtParams::default(), &x_bao, &ys[..110], 2, 0)));
+    });
 
     // One BS step (Algorithm 3) at the default scope size.
     let measured: Vec<(schedule::Config, f64)> = space

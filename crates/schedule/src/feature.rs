@@ -8,7 +8,7 @@
 //! of magnitude — which is what the paper's distance-based TED (Algorithm 1)
 //! and radius-based neighborhoods rely on.
 
-use crate::knob::{Knob, KnobValue};
+use crate::knob::Knob;
 use crate::space::{Config, ConfigSpace};
 
 /// Dimensionality of the feature vector produced for `space`.
@@ -36,15 +36,18 @@ pub fn features(space: &ConfigSpace, config: &Config) -> Vec<f64> {
 /// reuse one flat buffer across rows instead of allocating a `Vec` per
 /// configuration.
 pub fn features_into(space: &ConfigSpace, config: &Config, out: &mut Vec<f64>) {
-    for value in space.values(config) {
-        match value {
-            KnobValue::Split(factors) => {
-                out.extend(factors.iter().map(|&f| (f as f64).log2()));
+    // Reads each knob's candidate in place: `ConfigSpace::values` would
+    // clone every split's factor list, and this runs thousands of times
+    // per BAO step.
+    for (&c, knob) in config.choices.iter().zip(space.knobs()) {
+        match knob {
+            Knob::Split { candidates, .. } => {
+                out.extend(candidates[c].iter().map(|&f| (f as f64).log2()));
             }
-            KnobValue::Choice(v) => {
+            Knob::Choice { values, .. } => {
                 // Signed log1p keeps large step values (1500) commensurate
                 // with log2 tile factors and stays finite for any integer.
-                let x = v as f64;
+                let x = values[c] as f64;
                 out.push(x.signum() * x.abs().ln_1p());
             }
         }
@@ -119,6 +122,35 @@ mod tests {
         assert_eq!(buf.len(), 2 * feature_len(&s));
         assert_eq!(&buf[..3], features(&s, &a).as_slice());
         assert_eq!(&buf[3..], features(&s, &b).as_slice());
+    }
+
+    #[test]
+    fn features_read_the_same_values_as_the_space() {
+        use crate::knob::KnobValue;
+        let s = ConfigSpace::new(
+            "t",
+            vec![
+                Knob::split("a", 12, 3),
+                Knob::choice("u", vec![-3, 0, 1500]),
+                Knob::split("b", 8, 2),
+            ],
+        );
+        for i in 0..s.len() {
+            let cfg = s.config(i).unwrap();
+            let mut expect = Vec::new();
+            for v in s.values(&cfg) {
+                match v {
+                    KnobValue::Split(fs) => expect.extend(fs.iter().map(|&f| (f as f64).log2())),
+                    KnobValue::Choice(c) => {
+                        let x = c as f64;
+                        expect.push(x.signum() * x.abs().ln_1p());
+                    }
+                }
+            }
+            let got = features(&s, &cfg);
+            assert_eq!(got.len(), expect.len());
+            assert!(got.iter().zip(&expect).all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::model_quality::ProposalDiag;
 use gbt::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use schedule::feature::features;
+use schedule::feature::{feature_len, features_into};
 use schedule::{Config, ConfigSpace};
 
 /// Selects the next configuration from `candidates`.
@@ -91,9 +91,9 @@ where
     }
 
     let n = measured.len();
-    let x_rows: Vec<Vec<f64>> = measured.iter().map(|(c, _)| features(space, c)).collect();
+    let x = flat_features(space, measured.iter().map(|(c, _)| c));
     let ys: Vec<f64> = measured.iter().map(|&(_, y)| y).collect();
-    let cand_rows: Vec<Vec<f64>> = candidates.iter().map(|c| features(space, c)).collect();
+    let cand = flat_features(space, candidates.iter());
 
     let tel = telemetry::global();
     let _span = tel.span("bs.select");
@@ -110,8 +110,7 @@ where
     for g in 0..gamma {
         // Lines 2-3: bootstrap resample with |X_γ| = |X|.
         let indices: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-        let xg_rows: Vec<&[f64]> = indices.iter().map(|&i| x_rows[i].as_slice()).collect();
-        let xg = Matrix::from_rows(&xg_rows);
+        let xg = x.select_rows(&indices);
         let yg: Vec<f64> = indices.iter().map(|&i| ys[i]).collect();
         // Line 4: build the evaluation function f_γ.
         let mut eval = make_evaluator();
@@ -122,8 +121,8 @@ where
         // Line 6 accumulation: Σ_γ f_γ(x), plus Σ_γ f_γ(x)² so the winner's
         // bagged mean/std fall out without a second prediction pass.
         let _predict = tel.span("bs.predict");
-        for (i, row) in cand_rows.iter().enumerate() {
-            let p = eval.predict_row(row);
+        for i in 0..cand.rows() {
+            let p = eval.predict_row(cand.row(i));
             scores[i] += p;
             sq_scores[i] += p * p;
         }
@@ -147,6 +146,19 @@ where
         acquisition: Some(scores[best]),
     };
     Some((candidates[best].clone(), diag))
+}
+
+/// Featurizes `configs` into one flat row-major matrix.
+pub(crate) fn flat_features<'a>(
+    space: &ConfigSpace,
+    configs: impl ExactSizeIterator<Item = &'a Config>,
+) -> Matrix {
+    let (rows, cols) = (configs.len(), feature_len(space));
+    let mut flat = Vec::with_capacity(rows * cols);
+    for c in configs {
+        features_into(space, c, &mut flat);
+    }
+    Matrix::new(flat, rows, cols)
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use crate::tuner::Tuner;
 use gbt::{GbtParams, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use schedule::feature::{feature_len, features, features_into};
+use schedule::feature::features_into;
 use schedule::{Config, ConfigSpace};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -120,10 +120,10 @@ impl<'s> XgbTuner<'s> {
         // kept out of future plans by `visited`/quarantine, not by
         // poisoned labels. Scores normalize by the best observed value so
         // SA temperatures stay comparable across tasks.
-        let rows: Vec<Vec<f64>> = valid.iter().map(|(c, _)| features(self.space, c)).collect();
+        let space = self.space;
+        let x = crate::bs::flat_features(space, valid.iter().map(|(c, _)| c));
         let y_max = valid.iter().map(|&&(_, y)| y).fold(f64::NEG_INFINITY, f64::max).max(1e-9);
         let ys: Vec<f64> = valid.iter().map(|&&(_, y)| y / y_max).collect();
-        let x = Matrix::from_rows(&rows);
         let mut model = GbtEvaluator::new(self.gbt);
         {
             let _fit = tel.span("xgb.fit");
@@ -132,11 +132,10 @@ impl<'s> XgbTuner<'s> {
         self.y_max = y_max;
         tel.event(
             "xgb.refit",
-            || telemetry::json!({ "refit": self.refits, "rows": rows.len() as u64 }),
+            || telemetry::json!({ "refit": self.refits, "rows": x.rows() as u64 }),
         );
 
-        let space = self.space;
-        let n_feat = feature_len(space);
+        let n_feat = x.cols();
         let feat_buf = &self.feat_buf;
         let score = |cands: &[Config]| -> Vec<f64> {
             // One batched matrix predict per SA step instead of a model

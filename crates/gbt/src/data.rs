@@ -71,6 +71,11 @@ impl Matrix {
         self.data[row * self.cols + col]
     }
 
+    /// The flat row-major buffer.
+    pub(crate) fn data(&self) -> &[f64] {
+        &self.data
+    }
+
     /// Consumes the matrix, returning its flat row-major buffer — hot
     /// scoring loops recycle the allocation across batches.
     #[must_use]

@@ -15,8 +15,8 @@
 //!   [`enumerate_neighborhood`]) — distance between per-knob candidate
 //!   indices; cheap, enumerable, used for diagnostics and tests.
 
-use crate::feature::{features, sq_distance};
-use crate::knob::{Knob, KnobValue};
+use crate::feature::{features, features_into, sq_distance};
+use crate::knob::Knob;
 use crate::space::{Config, ConfigSpace};
 use rand::Rng;
 use std::collections::HashSet;
@@ -155,17 +155,19 @@ pub fn feature_distance(space: &ConfigSpace, a: &Config, b: &Config) -> f64 {
 ///   smallest semantically meaningful schedule change (`√2·log2(p)` apart
 ///   in feature space for a factor `p`).
 /// * Choice knobs: step to an adjacent candidate.
+///
+/// `factors` is scratch space for the moved split, reused across calls.
 fn elementary_move<R: Rng + ?Sized>(
     space: &ConfigSpace,
     choices: &mut [usize],
+    factors: &mut Vec<usize>,
     rng: &mut R,
 ) -> bool {
     let k = rng.gen_range(0..choices.len());
     match &space.knobs()[k] {
         Knob::Split { candidates, num_outputs, .. } => {
-            let KnobValue::Split(mut factors) = space.knobs()[k].value(choices[k]) else {
-                unreachable!("split knob yields split value")
-            };
+            factors.clear();
+            factors.extend_from_slice(&candidates[choices[k]]);
             let n = *num_outputs;
             // Pick a donor slot with a divisible factor and a receiver slot.
             let from = rng.gen_range(0..n);
@@ -176,12 +178,12 @@ fn elementary_move<R: Rng + ?Sized>(
             }
             // Smallest prime factor keeps the move minimal.
             // aal-lint: allow(unwrap, reason = "every integer greater than 1 has a prime factor")
-            let p = (2..).find(|d| f % d == 0).expect("f > 1 has a prime factor");
+            let p = (2..).find(|&d| f.is_multiple_of(d)).expect("f > 1 has a prime factor");
             factors[from] /= p;
             factors[to] *= p;
             // Candidates are enumerated in lexicographic order, so the
             // mutated factor tuple is found by binary search.
-            let Ok(pos) = candidates.binary_search(&factors) else {
+            let Ok(pos) = candidates.binary_search(factors) else {
                 return false;
             };
             choices[k] = pos;
@@ -229,6 +231,8 @@ pub fn sample_feature_neighborhood<R: Rng + ?Sized>(
     // Small radii induce small neighborhoods; a modest attempt cap keeps
     // the per-step cost bounded (BS works fine on a partial scope).
     let max_attempts = n.saturating_mul(8).max(1024);
+    let mut feat = Vec::with_capacity(center_feat.len());
+    let mut factors = Vec::new();
     for _ in 0..max_attempts {
         if out.len() >= n {
             break;
@@ -237,7 +241,7 @@ pub fn sample_feature_neighborhood<R: Rng + ?Sized>(
         let moves = rng.gen_range(1..=max_moves);
         let mut moved = false;
         for _ in 0..moves {
-            moved |= elementary_move(space, &mut choices, rng);
+            moved |= elementary_move(space, &mut choices, &mut factors, rng);
         }
         if !moved || choices == center.choices {
             continue;
@@ -247,7 +251,9 @@ pub fn sample_feature_neighborhood<R: Rng + ?Sized>(
             continue;
         }
         let cand = Config { index, choices };
-        if sq_distance(&center_feat, &features(space, &cand)) > r2 {
+        feat.clear();
+        features_into(space, &cand, &mut feat);
+        if sq_distance(&center_feat, &feat) > r2 {
             continue;
         }
         seen.insert(index);
@@ -362,7 +368,7 @@ mod tests {
         let center = s.config(s.len() / 2).unwrap();
         for _ in 0..100 {
             let mut choices = center.choices.clone();
-            if elementary_move(&s, &mut choices, &mut rng) {
+            if elementary_move(&s, &mut choices, &mut Vec::new(), &mut rng) {
                 // Decoding must succeed: product invariant held.
                 let idx = s.index_of(&choices);
                 assert!(s.config(idx).is_ok());

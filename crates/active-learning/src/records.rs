@@ -9,18 +9,92 @@ use std::io::{BufRead, Seek, Write};
 use std::path::{Path, PathBuf};
 
 /// One measured configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A record holds only what was measured. Its trial number is its
+/// position in the [`TuningLog`] and its best-so-far GFLOPS is the running
+/// maximum of the log up to it; the JSONL lines carry both (see
+/// [`TuningLog::write_jsonl`]), but a log in memory does not, because
+/// callers keep the logs of every task of a model.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrialRecord {
-    /// 0-based measurement counter within the task.
-    pub trial: usize,
     /// Flat configuration index in the task's space.
     pub config_index: u64,
     /// Measured GFLOPS (0.0 for a failed launch).
     pub gflops: f64,
     /// Measured kernel latency in seconds.
     pub latency_s: f64,
+}
+
+/// One line of a JSONL log: a [`TrialRecord`] with the trial number and
+/// best-so-far GFLOPS that its position in the log implies.
+#[derive(Serialize, Deserialize)]
+struct TrialLine {
+    /// 0-based measurement counter within the task.
+    trial: usize,
+    config_index: u64,
+    gflops: f64,
+    latency_s: f64,
     /// Best GFLOPS seen up to and including this trial.
-    pub best_gflops: f64,
+    best_gflops: f64,
+}
+
+/// The position reached in a log: the trial number of the next record
+/// and the best GFLOPS before it. It numbers the lines a log writes, and
+/// checks the lines a log reads.
+#[derive(Debug, Clone, Copy, Default)]
+struct LineCursor {
+    trial: usize,
+    best_gflops: f64,
+}
+
+impl LineCursor {
+    /// The cursor after every record of `records`.
+    fn after(records: &[TrialRecord]) -> Self {
+        let mut cursor = LineCursor::default();
+        for rec in records {
+            cursor.line(rec);
+        }
+        cursor
+    }
+
+    /// The line of `rec` as the next record of the log. A failed launch
+    /// (0.0 GFLOPS) never becomes the best, so the best starts at 0.0.
+    fn line(&mut self, rec: &TrialRecord) -> TrialLine {
+        if rec.gflops > self.best_gflops {
+            self.best_gflops = rec.gflops;
+        }
+        let line = TrialLine {
+            trial: self.trial,
+            config_index: rec.config_index,
+            gflops: rec.gflops,
+            latency_s: rec.latency_s,
+            best_gflops: self.best_gflops,
+        };
+        self.trial += 1;
+        line
+    }
+
+    /// Parses `text` as the next line of the log. A line whose trial
+    /// number or best GFLOPS disagrees with its position is malformed.
+    fn read(&mut self, text: &str) -> Result<TrialRecord, serde_json::Error> {
+        let line: TrialLine = serde_json::from_str(text)?;
+        let rec = TrialRecord {
+            config_index: line.config_index,
+            gflops: line.gflops,
+            latency_s: line.latency_s,
+        };
+        let expected = self.line(&rec);
+        if line.trial != expected.trial
+            || line.best_gflops.to_bits() != expected.best_gflops.to_bits()
+        {
+            return Err(serde::Error::msg(format!(
+                "trial {} (best {}) logged at trial {} (best {})",
+                line.trial, line.best_gflops, expected.trial, expected.best_gflops
+            ))
+            .into());
+        }
+        Ok(rec)
+    }
 }
 
 /// The full log of one task-tuning run.
@@ -44,7 +118,8 @@ impl TuningLog {
     /// The best-so-far GFLOPS curve (the y-axis of the paper's Fig. 4).
     #[must_use]
     pub fn convergence_curve(&self) -> Vec<f64> {
-        self.records.iter().map(|r| r.best_gflops).collect()
+        let mut cursor = LineCursor::default();
+        self.records.iter().map(|r| cursor.line(r).best_gflops).collect()
     }
 
     /// Number of measurements (the y-axis of Fig. 5(a)).
@@ -56,7 +131,7 @@ impl TuningLog {
     /// Final best GFLOPS (0.0 for an empty log).
     #[must_use]
     pub fn best_gflops(&self) -> f64 {
-        self.records.last().map_or(0.0, |r| r.best_gflops)
+        LineCursor::after(&self.records).best_gflops
     }
 
     /// Writes the log as JSON lines: one header line, then one line per
@@ -71,9 +146,10 @@ impl TuningLog {
             "method": self.method,
         });
         writeln!(w, "{header}")?;
+        let mut cursor = LineCursor::default();
         for r in &self.records {
-            // aal-lint: allow(unwrap, reason = "TrialRecord is a plain data struct; serialization cannot fail")
-            writeln!(w, "{}", serde_json::to_string(r).expect("record serializes"))?;
+            // aal-lint: allow(unwrap, reason = "TrialLine is a plain data struct; serialization cannot fail")
+            writeln!(w, "{}", serde_json::to_string(&cursor.line(r)).expect("record serializes"))?;
         }
         Ok(())
     }
@@ -93,6 +169,7 @@ impl TuningLog {
     pub fn recover_jsonl(data: &[u8]) -> Result<RecoveredLog, ReadLogError> {
         let mut offset = 0usize;
         let mut log: Option<TuningLog> = None;
+        let mut cursor = LineCursor::default();
         let mut dropped_tail = false;
         while offset < data.len() {
             let Some(nl) = data[offset..].iter().position(|&b| b == b'\n') else {
@@ -117,7 +194,7 @@ impl TuningLog {
                         header["method"].as_str().unwrap_or_default(),
                     ));
                 }
-                Some(log) => match serde_json::from_str::<TrialRecord>(text) {
+                Some(log) => match cursor.read(text) {
                     Ok(rec) => log.records.push(rec),
                     Err(_) => {
                         dropped_tail = true;
@@ -144,12 +221,13 @@ impl TuningLog {
             header["task_name"].as_str().unwrap_or_default(),
             header["method"].as_str().unwrap_or_default(),
         );
+        let mut cursor = LineCursor::default();
         for line in lines {
             let line = line?;
             if line.trim().is_empty() {
                 continue;
             }
-            log.records.push(serde_json::from_str(&line)?);
+            log.records.push(cursor.read(&line)?);
         }
         Ok(log)
     }
@@ -176,6 +254,7 @@ pub struct RecoveredLog {
 pub struct LogWriter {
     file: std::fs::File,
     path: PathBuf,
+    cursor: LineCursor,
 }
 
 impl LogWriter {
@@ -185,9 +264,22 @@ impl LogWriter {
     ///
     /// Propagates write failures.
     pub fn append(&mut self, rec: &TrialRecord) -> std::io::Result<()> {
-        // aal-lint: allow(unwrap, reason = "TrialRecord is a plain data struct; serialization cannot fail")
-        let line = serde_json::to_string(rec).expect("record serializes");
+        // aal-lint: allow(unwrap, reason = "TrialLine is a plain data struct; serialization cannot fail")
+        let line = serde_json::to_string(&self.cursor.line(rec)).expect("record serializes");
         writeln!(self.file, "{line}")
+    }
+
+    /// Records appended so far, those of a recovered log included.
+    #[must_use]
+    pub fn trials(&self) -> usize {
+        self.cursor.trial
+    }
+
+    /// Best GFLOPS over every record appended so far, those of a
+    /// recovered log included (0.0 before any valid one).
+    #[must_use]
+    pub fn best_gflops(&self) -> f64 {
+        self.cursor.best_gflops
     }
 
     /// Where this log lives.
@@ -438,7 +530,7 @@ impl RunDir {
         let mut file = std::fs::File::create(&path)?;
         let header = serde_json::json!({ "task_name": task_name, "method": method });
         writeln!(file, "{header}")?;
-        Ok(LogWriter { file, path })
+        Ok(LogWriter { file, path, cursor: LineCursor::default() })
     }
 
     /// Recovers the crash-truncated log of `task_name` for resumption:
@@ -465,7 +557,8 @@ impl RunDir {
         file.set_len(recovered.valid_bytes)?;
         let mut file = file;
         file.seek(std::io::SeekFrom::End(0))?;
-        Ok(Some((recovered, LogWriter { file, path })))
+        let cursor = LineCursor::after(&recovered.log.records);
+        Ok(Some((recovered, LogWriter { file, path, cursor })))
     }
 
     /// Where the crash-recovery checkpoint lives.
@@ -637,11 +730,9 @@ mod tests {
         for i in 0..5 {
             let g = (i * 100) as f64;
             log.records.push(TrialRecord {
-                trial: i,
                 config_index: i as u64 * 17,
                 gflops: g,
                 latency_s: 1e-3 / (g + 1.0),
-                best_gflops: g,
             });
         }
         log
@@ -654,6 +745,41 @@ mod tests {
         log.write_jsonl(&mut buf).unwrap();
         let back = TuningLog::read_jsonl(buf.as_slice()).unwrap();
         assert_eq!(log, back);
+    }
+
+    #[test]
+    fn lines_carry_the_trial_number_and_running_best() {
+        let mut log = TuningLog::new("m.T1", "autotvm");
+        for (i, g) in [0.0, 50.0, 20.0].into_iter().enumerate() {
+            log.records.push(TrialRecord { config_index: i as u64, gflops: g, latency_s: 0.5 });
+        }
+        let mut buf = Vec::new();
+        log.write_jsonl(&mut buf).unwrap();
+        assert_eq!(
+            String::from_utf8(buf).unwrap(),
+            "{\"task_name\":\"m.T1\",\"method\":\"autotvm\"}\n\
+             {\"trial\":0,\"config_index\":0,\"gflops\":0.0,\"latency_s\":0.5,\"best_gflops\":0.0}\n\
+             {\"trial\":1,\"config_index\":1,\"gflops\":50.0,\"latency_s\":0.5,\"best_gflops\":50.0}\n\
+             {\"trial\":2,\"config_index\":2,\"gflops\":20.0,\"latency_s\":0.5,\"best_gflops\":50.0}\n"
+        );
+        assert_eq!(std::mem::size_of::<TrialRecord>(), 24);
+    }
+
+    #[test]
+    fn line_out_of_place_is_malformed() {
+        let header = "{\"task_name\":\"t\",\"method\":\"m\"}\n";
+        let first = "{\"trial\":0,\"config_index\":3,\"gflops\":9.0,\"latency_s\":1.0,\"best_gflops\":9.0}\n";
+        for bad in [
+            "{\"trial\":2,\"config_index\":4,\"gflops\":1.0,\"latency_s\":1.0,\"best_gflops\":9.0}\n",
+            "{\"trial\":1,\"config_index\":4,\"gflops\":1.0,\"latency_s\":1.0,\"best_gflops\":1.0}\n",
+        ] {
+            let data = format!("{header}{first}{bad}");
+            assert!(matches!(TuningLog::read_jsonl(data.as_bytes()), Err(ReadLogError::Parse(_))));
+            let r = TuningLog::recover_jsonl(data.as_bytes()).unwrap();
+            assert_eq!(r.log.records.len(), 1);
+            assert_eq!(r.valid_bytes, (header.len() + first.len()) as u64);
+            assert!(r.dropped_tail);
+        }
     }
 
     #[test]

@@ -94,14 +94,8 @@ mod tests {
 
     fn log_with(prior_space: &ConfigSpace, entries: &[(u64, f64)]) -> TuningLog {
         let mut log = TuningLog::new(prior_space.task_name.clone(), "autotvm");
-        for (i, &(idx, g)) in entries.iter().enumerate() {
-            log.records.push(TrialRecord {
-                trial: i,
-                config_index: idx,
-                gflops: g,
-                latency_s: 1e-3,
-                best_gflops: g,
-            });
+        for &(idx, g) in entries {
+            log.records.push(TrialRecord { config_index: idx, gflops: g, latency_s: 1e-3 });
         }
         log
     }

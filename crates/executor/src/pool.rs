@@ -467,7 +467,7 @@ mod tests {
             config: &Config,
         ) -> MeasureResult {
             let (lock, cv) = &*self.gate;
-            let mut open = lock_or_recover(&lock);
+            let mut open = lock_or_recover(lock);
             while !*open {
                 open = cv.wait(open).unwrap();
             }

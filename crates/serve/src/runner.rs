@@ -212,6 +212,7 @@ fn tune_one(
     let trials_logged = std::cell::Cell::new(replay.len() as u64);
     let write_err: std::cell::RefCell<Option<String>> = std::cell::RefCell::new(None);
     let mut sink = |rec: &TrialRecord| {
+        let trial = writer.trials();
         if let Err(e) = writer.append(rec) {
             write_err.borrow_mut().get_or_insert(e.to_string());
         }
@@ -229,9 +230,9 @@ fn tune_one(
             "job.trial",
             json!({
                 "task": task.name.clone(),
-                "trial": rec.trial,
+                "trial": trial,
                 "gflops": rec.gflops,
-                "best_gflops": rec.best_gflops,
+                "best_gflops": writer.best_gflops(),
             }),
         );
     };

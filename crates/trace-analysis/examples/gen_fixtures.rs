@@ -31,16 +31,11 @@ fn base_gflops(task: usize, i: usize) -> f64 {
 
 fn log_from(task: usize, name: &str, f: impl Fn(usize) -> f64) -> TuningLog {
     let mut log = TuningLog::new(name, "bted+bao");
-    let mut best: f64 = 0.0;
     for i in 0..N {
-        let g = f(i);
-        best = best.max(g);
         log.records.push(TrialRecord {
-            trial: i,
             config_index: (task * 1000 + i * 17) as u64,
-            gflops: g,
+            gflops: f(i),
             latency_s: 1e-4,
-            best_gflops: best,
         });
     }
     log
@@ -52,12 +47,12 @@ fn log_from(task: usize, name: &str, f: impl Fn(usize) -> f64) -> TuningLog {
 fn capture_from(logs: &[TuningLog], predict: impl Fn(f64) -> f64) -> Vec<ModelPredRecord> {
     let mut records = Vec::new();
     for log in logs {
-        for rec in &log.records {
+        for (trial, rec) in log.records.iter().enumerate() {
             let mean = predict(rec.gflops);
             records.push(ModelPredRecord {
                 task: log.task_name.clone(),
-                round: rec.trial / 8,
-                trial: rec.trial,
+                round: trial / 8,
+                trial,
                 config_index: rec.config_index,
                 predicted_mean: Some(mean),
                 predicted_std: Some(0.05 * mean.abs().max(1.0)),

@@ -482,16 +482,8 @@ mod tests {
 
     fn log(task: &str, gflops: impl IntoIterator<Item = f64>) -> TuningLog {
         let mut l = TuningLog::new(task, "bted+bao");
-        let mut best: f64 = 0.0;
         for (i, g) in gflops.into_iter().enumerate() {
-            best = best.max(g);
-            l.records.push(TrialRecord {
-                trial: i,
-                config_index: i as u64,
-                gflops: g,
-                latency_s: 1e-4,
-                best_gflops: best,
-            });
+            l.records.push(TrialRecord { config_index: i as u64, gflops: g, latency_s: 1e-4 });
         }
         l
     }

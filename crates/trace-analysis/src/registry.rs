@@ -657,13 +657,7 @@ mod tests {
         })
         .unwrap();
         let mut log = TuningLog::new("sq.T1", "autotvm");
-        log.records.push(TrialRecord {
-            trial: 0,
-            config_index: 1,
-            gflops: 80.0,
-            latency_s: 1e-4,
-            best_gflops: 80.0,
-        });
+        log.records.push(TrialRecord { config_index: 1, gflops: 80.0, latency_s: 1e-4 });
         dir.write_log(&log).unwrap();
         let e = RunEntry::from_run_dir(&root).unwrap();
         assert_eq!(e.run_id, "sq-autotvm-seed0");

@@ -857,17 +857,9 @@ mod tests {
 
     fn sample_run(id: &str, level: f64) -> LoadedRun {
         let mut log = TuningLog::new("m.T1", "bted+bao");
-        let mut best: f64 = 0.0;
         for i in 0..10 {
             let g = level + (i % 3) as f64 * 5.0;
-            best = best.max(g);
-            log.records.push(TrialRecord {
-                trial: i,
-                config_index: i as u64,
-                gflops: g,
-                latency_s: 1e-4,
-                best_gflops: best,
-            });
+            log.records.push(TrialRecord { config_index: i, gflops: g, latency_s: 1e-4 });
         }
         LoadedRun {
             id: id.to_string(),

@@ -17,7 +17,7 @@ fn chaos_tune(rate: f64, fault_seed: u64, tune_seed: u64, n_trial: usize) -> (f6
     let m = RobustMeasurer::new(faulty, RetryPolicy::default());
     let opts = TuneOptions { n_trial, seed: tune_seed, ..TuneOptions::smoke() };
     let r = tune_task(&task, &m, Method::AutoTvm, &opts);
-    let curve: Vec<f64> = r.log.records.iter().map(|t| t.best_gflops).collect();
+    let curve = r.log.convergence_curve();
     (r.best_gflops, curve)
 }
 

@@ -359,7 +359,7 @@ pub struct WarmSeed {
 ///
 /// The provenance fields (`schema_version`, `git_describe`, `wall_time_s`)
 /// are optional so manifests written before they existed still parse.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunManifest {
     /// Model name (or a task label when tuning a single task).
     pub model: String,

@@ -41,6 +41,22 @@ impl Method {
             Method::BtedBao => "bted+bao",
         }
     }
+
+    /// Resolves a method label, accepting `bao` and `ours` for
+    /// [`Method::BtedBao`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error listing the valid labels.
+    pub fn by_name(name: &str) -> Result<Method, String> {
+        match name {
+            "random" => Ok(Method::Random),
+            "autotvm" => Ok(Method::AutoTvm),
+            "bted" => Ok(Method::Bted),
+            "bted+bao" | "bao" | "ours" => Ok(Method::BtedBao),
+            other => Err(format!("unknown method `{other}` (random, autotvm, bted, bted+bao)")),
+        }
+    }
 }
 
 impl fmt::Display for Method {
@@ -455,6 +471,18 @@ mod tests {
     use super::*;
     use dnn_graph::{models, task::extract_tasks};
     use gpu_sim::{GpuDevice, SimMeasurer};
+
+    #[test]
+    fn resolvers_accept_aliases() {
+        assert!(models::by_name("mobilenet").is_ok());
+        assert!(models::by_name("resnet34").is_ok());
+        assert!(models::by_name("vgg19").is_ok());
+        assert!(models::by_name("nope").is_err());
+        assert_eq!(Method::by_name("ours").unwrap(), Method::BtedBao);
+        assert!(Method::by_name("rl").is_err());
+        assert_eq!(GpuDevice::by_name("v100").unwrap().name, "Tesla V100");
+        assert!(GpuDevice::by_name("tpu").is_err());
+    }
 
     fn measurer() -> SimMeasurer {
         SimMeasurer::new(GpuDevice::gtx_1080_ti())

@@ -8,7 +8,7 @@ use dnn_graph::{models, task::extract_tasks};
 use gpu_sim::{GpuDevice, SimMeasurer};
 use std::time::Instant;
 
-fn main() {
+fn main() -> Result<(), String> {
     let args = Args::from_env();
     let n_trial: usize = args.get("n-trial", 768);
     let seed: u64 = args.get("seed", 0);
@@ -18,18 +18,8 @@ fn main() {
     let model_name = args.get_str("model", "");
     if !model_name.is_empty() {
         // Whole-model diagnosis: per-task best GFLOPS and config counts.
-        let graph = match model_name.as_str() {
-            "resnet18" => models::resnet18(1),
-            "vgg16" => models::vgg16(1),
-            "mobilenet_v1" => models::mobilenet_v1(1),
-            "alexnet" => models::alexnet(1),
-            other => panic!("unknown model {other}"),
-        };
-        let method = match args.get_str("method", "bted+bao").as_str() {
-            "autotvm" => Method::AutoTvm,
-            "bted" => Method::Bted,
-            _ => Method::BtedBao,
-        };
+        let graph = models::by_name(&model_name)?;
+        let method = Method::by_name(&args.get_str("method", "bted+bao"))?;
         let m = SimMeasurer::new(GpuDevice::gtx_1080_ti()).with_trial_seed(seed);
         let r = tune_model(&graph, &m, method, &opts, 600);
         println!(
@@ -42,7 +32,7 @@ fn main() {
                 t.task_name, t.best_gflops, t.num_measured
             );
         }
-        return;
+        return Ok(());
     }
 
     let task_idx: usize = args.get("task", 0);
@@ -62,4 +52,5 @@ fn main() {
             t0.elapsed().as_secs_f64()
         );
     }
+    Ok(())
 }

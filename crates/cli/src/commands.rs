@@ -1,31 +1,23 @@
 //! CLI subcommands.
 
-use crate::opts::{device_by_name, method_by_name, model_by_name, Cli};
+use crate::opts::Cli;
 use active_learning::{
-    read_model_quality, tune_model_parallel, tune_task_with, write_model_quality, Checkpoint,
-    DbProvenance, Method, ModelPredRecord, RunDir, RunManifest, TrialRecord, TuneHooks,
-    TuneOptions, TuningLog, WarmSeed, CHECKPOINT_SCHEMA_VERSION, MANIFEST_SCHEMA_VERSION,
-    MODEL_QUALITY_FILE,
+    read_model_quality, tune_model_parallel, Checkpoint, DbProvenance, Method, RunDir, RunManifest,
+    TuneOptions, MANIFEST_SCHEMA_VERSION, MODEL_QUALITY_FILE,
 };
 use dnn_graph::task::extract_tasks;
-use executor::{run_ordered, Executor, ExecutorConfig};
-use gpu_sim::{
-    FaultConfig, FaultInjectingMeasurer, Measurer, RetryPolicy, RobustMeasurer, SimMeasurer,
-};
+use executor::DevicePool;
+use gpu_sim::{FaultConfig, GpuDevice, SimMeasurer};
 use schedule::template::space_for_task;
-use std::collections::{BTreeMap, BTreeSet};
+use serve::{DbPolicy, SessionDir, SessionSpec, TuneSession};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use telemetry::sync::lock_or_recover;
 use trace_analysis::{
     compare_logs, compare_run_dirs, render_report, CompareOptions, LoadedRun, Registry, RunEntry,
     Verdict,
 };
-use tuning_db::{
-    decimate_curve, DbRecord, LockOptions, TaskSpec, TopConfig, TuningDb, DB_SCHEMA_VERSION,
-    DB_WARM_START_COUNTER, TOP_K,
-};
+use tuning_db::{LockOptions, TuningDb};
 
 /// Exit code for a gated regression (`compare --fail-on-regress`): distinct
 /// from 1, which `main` uses for usage/runtime errors.
@@ -151,26 +143,36 @@ pub fn dispatch(args: &[String]) -> Result<u8, String> {
 
 /// Installs the global telemetry pipeline from `--trace`/`--quiet`/`--json`,
 /// preferring an explicit `--trace` path over the run directory's default.
-fn install_telemetry(cli: &Cli, run_dir: Option<&RunDir>) -> Result<telemetry::Telemetry, String> {
+/// A resumed run `append`s to its trace; the fresh schema header marks the
+/// segment boundary for counter summing.
+fn install_telemetry(
+    cli: &Cli,
+    run_dir: Option<&RunDir>,
+    append: bool,
+    live: Option<Arc<telemetry::MetricsRegistry>>,
+) -> Result<telemetry::Telemetry, String> {
     let trace: Option<PathBuf> =
         cli.flag_str("trace").map(PathBuf::from).or_else(|| run_dir.map(RunDir::trace_path));
-    telemetry::install_pipeline(
-        trace.as_deref(),
-        cli.flag_present("quiet"),
-        cli.flag_present("json"),
-    )
-    .map_err(|e| format!("cannot create trace file: {e}"))
+    let (quiet, json) = (cli.flag_present("quiet"), cli.flag_present("json"));
+    telemetry::install_pipeline_live(trace.as_deref(), quiet, json, append, live)
+        .map_err(|e| format!("cannot create trace file: {e}"))
 }
 
-/// Flushes counters/histograms into the trace and uninstalls the pipeline.
-fn finish_telemetry(tel: &telemetry::Telemetry) {
-    tel.flush();
-    telemetry::set_global(telemetry::Telemetry::disabled());
+/// Flushes counters and histograms into the trace and uninstalls the
+/// global pipeline when dropped, so a command leaves telemetry off on
+/// every exit path, errors included.
+struct Uninstall(telemetry::Telemetry);
+
+impl Drop for Uninstall {
+    fn drop(&mut self) {
+        self.0.flush();
+        telemetry::set_global(telemetry::Telemetry::disabled());
+    }
 }
 
 fn model_arg(cli: &Cli) -> Result<dnn_graph::Graph, String> {
     let name = cli.positional.get(1).ok_or("missing <model> argument")?;
-    model_by_name(name)
+    dnn_graph::models::by_name(name)
 }
 
 /// Optional typed flag: absent flags stay `None` instead of defaulting.
@@ -192,11 +194,6 @@ fn options(cli: &Cli) -> Result<TuneOptions, String> {
         fail_rate_cap: opt_flag(cli, "max-fail-rate")?,
         ..TuneOptions::default()
     })
-}
-
-fn measurer(cli: &Cli) -> Result<SimMeasurer, String> {
-    let device = device_by_name(cli.flag_str("device").unwrap_or("gtx1080ti"))?;
-    Ok(SimMeasurer::new(device))
 }
 
 fn tasks(cli: &Cli) -> Result<(), String> {
@@ -238,39 +235,6 @@ fn devices() {
     }
 }
 
-/// How `tune` consumes an exact tuning-database hit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DbPolicy {
-    /// Serve the cached best: one verifying measurement, no tuning loop.
-    Serve,
-    /// Warm-start the initial measurement set from the cached top-k and
-    /// tune normally.
-    Warm,
-}
-
-impl DbPolicy {
-    fn label(self) -> &'static str {
-        match self {
-            DbPolicy::Serve => "serve",
-            DbPolicy::Warm => "warm",
-        }
-    }
-
-    fn parse(s: &str) -> Result<DbPolicy, String> {
-        match s {
-            "serve" => Ok(DbPolicy::Serve),
-            "warm" => Ok(DbPolicy::Warm),
-            other => Err(format!("unknown --db-policy `{other}` (serve, warm)")),
-        }
-    }
-}
-
-/// The tuning database a run is attached to.
-struct DbSettings {
-    path: PathBuf,
-    policy: DbPolicy,
-}
-
 /// Everything `tune` needs to run, resolved either from the command line
 /// (fresh run) or from a run directory's manifest (`--resume`).
 struct TunePlan {
@@ -279,12 +243,11 @@ struct TunePlan {
     opts: TuneOptions,
     fault: FaultConfig,
     device_name: String,
+    /// The run directory; the run registry lives in its parent.
     run_dir: Option<RunDir>,
-    /// Where the run registry lives (the parent of the run directory).
-    registry_base: Option<PathBuf>,
-    resume: bool,
-    /// Loop state recovered from `checkpoint.json` (default when fresh).
-    checkpoint: Checkpoint,
+    /// The checkpoint of the killed run being resumed (the default when
+    /// it never wrote one); `None` for a fresh run.
+    resume: Option<Checkpoint>,
     /// Exact task set pinned by the original manifest on resume.
     task_names: Option<Vec<String>>,
     /// Measurement worker threads (free to change on resume: worker count
@@ -292,16 +255,16 @@ struct TunePlan {
     workers: usize,
     /// Simulated device slots in the executor pool.
     devices: usize,
-    /// Tuning database attachment, if any. On resume this comes from the
-    /// manifest's provenance, so the continued run consults the same store
-    /// under the same policy.
-    db: Option<DbSettings>,
+    /// Tuning database path and policy, if any. On resume this comes from
+    /// the manifest's provenance, so the continued run consults the same
+    /// store under the same policy.
+    db: Option<(PathBuf, DbPolicy)>,
 }
 
 impl TunePlan {
     fn fresh(cli: &Cli) -> Result<TunePlan, String> {
         let model = model_arg(cli)?;
-        let method = method_by_name(cli.flag_str("method").unwrap_or("bted+bao"))?;
+        let method = Method::by_name(cli.flag_str("method").unwrap_or("bted+bao"))?;
         // Capture is on by default for `tune`: it is pure (trial logs stay
         // byte-identical) and it is what `explain` and the report's model
         // panel feed on. The manifest pins the choice, so resume inherits it.
@@ -323,10 +286,10 @@ impl TunePlan {
             })
             .transpose()?;
         let db = match cli.flag_str("db") {
-            Some(p) => Some(DbSettings {
-                path: PathBuf::from(p),
-                policy: DbPolicy::parse(cli.flag_str("db-policy").unwrap_or("serve"))?,
-            }),
+            Some(p) => Some((
+                PathBuf::from(p),
+                DbPolicy::parse(cli.flag_str("db-policy").unwrap_or("serve"))?,
+            )),
             None if cli.flag_str("db-policy").is_some() => {
                 return Err("--db-policy requires --db".to_string())
             }
@@ -339,9 +302,7 @@ impl TunePlan {
             fault,
             device_name: cli.flag_str("device").unwrap_or("gtx1080ti").to_string(),
             run_dir,
-            registry_base: cli.flag_str("out").map(PathBuf::from),
-            resume: false,
-            checkpoint: Checkpoint::default(),
+            resume: None,
             task_names: None,
             workers: 1,
             devices: 1,
@@ -370,23 +331,16 @@ impl TunePlan {
         let db = manifest
             .db
             .as_ref()
-            .map(|p| {
-                Ok::<_, String>(DbSettings {
-                    path: PathBuf::from(&p.path),
-                    policy: DbPolicy::parse(&p.policy)?,
-                })
-            })
+            .map(|p| Ok::<_, String>((PathBuf::from(&p.path), DbPolicy::parse(&p.policy)?)))
             .transpose()?;
         Ok(TunePlan {
-            model: model_by_name(&manifest.model)?,
-            method: method_by_name(&manifest.method)?,
+            model: dnn_graph::models::by_name(&manifest.model)?,
+            method: Method::by_name(&manifest.method)?,
             opts: manifest.options,
             fault: manifest.fault.unwrap_or_else(FaultConfig::off),
             device_name: manifest.device.clone().unwrap_or_else(|| "gtx1080ti".to_string()),
-            registry_base: path.parent().map(Path::to_path_buf),
             run_dir: Some(dir),
-            resume: true,
-            checkpoint,
+            resume: Some(checkpoint),
             task_names: Some(manifest.tasks),
             workers: manifest.workers.unwrap_or(1),
             devices: manifest.devices.unwrap_or(1),
@@ -406,30 +360,17 @@ impl TunePlan {
             wall_time_s,
             device: Some(self.device_name.clone()),
             fault: (!self.fault.is_off()).then_some(self.fault),
-            resumed: self.resume.then_some(true),
+            resumed: self.resume.is_some().then_some(true),
             workers: Some(self.workers),
             devices: Some(self.devices),
-            db: self.db.as_ref().map(|d| DbProvenance {
-                path: d.path.display().to_string(),
-                policy: d.policy.label().to_string(),
+            db: self.db.as_ref().map(|(path, policy)| DbProvenance {
+                path: path.display().to_string(),
+                policy: policy.label().to_string(),
             }),
         }
     }
 }
 
-/// Shared crash-safety bookkeeping while tasks tune concurrently.
-struct CkptState {
-    /// Tasks whose logs are complete and durable.
-    completed: Vec<String>,
-    /// Per in-flight task: config indices already appended to its durable
-    /// log. Checkpoints restrict each in-flight task's quarantine to this
-    /// set — a batch can quarantine a config trials before its record is
-    /// durable, and a resume that excluded such a config would diverge
-    /// from the uninterrupted run.
-    appended: BTreeMap<String, BTreeSet<u64>>,
-}
-
-#[allow(clippy::too_many_lines)]
 fn tune(cli: &Cli) -> Result<(), String> {
     // aal-lint: allow(wall-clock, reason = "elapsed time reported to the user and run registry; not a tuning input")
     let started = std::time::Instant::now();
@@ -442,7 +383,7 @@ fn tune(cli: &Cli) -> Result<(), String> {
     }
     if let Some(d) = opt_flag::<usize>(cli, "devices")? {
         plan.devices = d;
-    } else if !plan.resume {
+    } else if plan.resume.is_none() {
         plan.devices = plan.devices.max(plan.workers);
     }
     if plan.workers == 0 || plan.devices == 0 {
@@ -453,37 +394,6 @@ fn tune(cli: &Cli) -> Result<(), String> {
         return Err(format!("--device-ms {device_ms} must be non-negative"));
     }
 
-    // The full measurement stack, always assembled the same way: fault
-    // injection (transparent at rate 0) under the retry/timeout/quarantine
-    // policy, fanned out over the executor's worker pool (a transparent
-    // pass-through at --workers 1). A resumed run restores the checkpointed
-    // quarantine so known-crashing configs are never re-measured.
-    let policy = RetryPolicy {
-        max_retries: plan.opts.max_retries_or_default(),
-        trial_timeout_ms: plan.opts.trial_timeout_ms.unwrap_or(0.0),
-        ..RetryPolicy::default()
-    };
-    let device = device_by_name(&plan.device_name)?;
-    let robust = RobustMeasurer::new(
-        FaultInjectingMeasurer::new(SimMeasurer::new(device), plan.fault),
-        policy,
-    );
-    if let Some(q) = plan.checkpoint.quarantine.clone() {
-        robust.restore_quarantine(q);
-    }
-    let m = Executor::new(
-        robust,
-        ExecutorConfig::for_workers(plan.workers)
-            .with_devices(plan.devices)
-            .with_device_hold(Duration::from_secs_f64(device_ms / 1000.0)),
-    );
-
-    // A resumed process appends to the existing trace; its fresh schema
-    // header marks the segment boundary for counter summing.
-    let trace: Option<PathBuf> = cli
-        .flag_str("trace")
-        .map(PathBuf::from)
-        .or_else(|| plan.run_dir.as_ref().map(RunDir::trace_path));
     // Live observability: with a run dir and a non-zero interval, attach a
     // metrics registry so every probe publishes live, and snapshot it into
     // the run dir periodically. The registry and the snapshot thread only
@@ -491,440 +401,82 @@ fn tune(cli: &Cli) -> Result<(), String> {
     // heartbeat events to the trace — trial logs stay byte-identical
     // whether or not snapshots are enabled.
     let snapshot_ms: u64 = cli.flag("snapshot-interval-ms", 1000)?;
-    let live_registry = plan
-        .run_dir
-        .as_ref()
-        .filter(|_| snapshot_ms > 0)
-        .map(|_| std::sync::Arc::new(telemetry::MetricsRegistry::new()));
-    let tel = telemetry::install_pipeline_live(
-        trace.as_deref(),
-        cli.flag_present("quiet"),
-        cli.flag_present("json"),
-        plan.resume,
+    let live = plan.run_dir.is_some() && snapshot_ms > 0;
+    let live_registry = live.then(|| Arc::new(telemetry::MetricsRegistry::new()));
+    let tel = install_telemetry(
+        cli,
+        plan.run_dir.as_ref(),
+        plan.resume.is_some(),
         live_registry.clone(),
-    )
-    .map_err(|e| format!("cannot create trace file: {e}"))?;
+    )?;
+    let _uninstall = Uninstall(tel.clone());
     let mut snapshot_writer = match (&plan.run_dir, &live_registry) {
         (Some(dir), Some(reg)) => Some(telemetry::SnapshotWriter::start(
             dir.path().to_path_buf(),
-            std::sync::Arc::clone(reg),
+            Arc::clone(reg),
             Duration::from_millis(snapshot_ms),
             tel.clone(),
         )),
         _ => None,
     };
 
-    let tasks = extract_tasks(&plan.model);
-    let selected: Vec<usize> = if let Some(names) = &plan.task_names {
-        tasks.iter().enumerate().filter(|(_, t)| names.contains(&t.name)).map(|(i, _)| i).collect()
-    } else {
-        match cli.flag_str("task") {
-            Some(s) => {
-                let i: usize = s.parse().map_err(|_| format!("invalid --task index `{s}`"))?;
-                if i >= tasks.len() {
-                    finish_telemetry(&tel);
-                    return Err(format!("--task {i} out of range (model has {})", tasks.len()));
-                }
-                vec![i]
-            }
-            None => (0..tasks.len()).collect(),
+    let mut tasks = extract_tasks(&plan.model);
+    if let Some(names) = &plan.task_names {
+        tasks.retain(|t| names.contains(&t.name));
+    } else if let Some(s) = cli.flag_str("task") {
+        let i: usize = s.parse().map_err(|_| format!("invalid --task index `{s}`"))?;
+        if i >= tasks.len() {
+            return Err(format!("--task {i} out of range (model has {})", tasks.len()));
         }
-    };
-    let selected_names: Vec<String> = selected.iter().map(|&i| tasks[i].name.clone()).collect();
-
-    // Crash-safety contract: the manifest exists from the first moment a
-    // trial can be lost, so a killed run is always resumable.
-    if let Some(dir) = &plan.run_dir {
-        if !plan.resume {
-            dir.write_manifest(&plan.manifest(selected_names.clone(), None))
-                .map_err(|e| format!("cannot write manifest: {e}"))?;
-        }
-        // Register the run up front (no wall time yet), so `aaltune runs`
-        // lists it as live/stale while it executes; the completion append
-        // below shadows this entry (the registry keeps the last per id).
-        // Best-effort: a killed run's logs can be torn mid-line until the
-        // resume repairs them, and observability must never block tuning.
-        if let Some(base) = &plan.registry_base {
-            if let Ok(entry) = RunEntry::from_run_dir(dir.path()) {
-                let _ = Registry::at(base).append(&entry);
-            }
-        }
+        tasks = vec![tasks.swap_remove(i)];
     }
+    let task_names: Vec<String> = tasks.iter().map(|t| t.name.clone()).collect();
 
     // The tuning database opens after the telemetry pipeline so its
     // lock-takeover counter and task gauge land in this run's trace. The
     // advisory writer lock is held for the whole run; a concurrent live
     // writer makes this open back off and fail cleanly.
-    let db: Option<Mutex<TuningDb>> = match &plan.db {
-        Some(s) => match TuningDb::open(&s.path, &LockOptions::default()) {
-            Ok(store) => Some(Mutex::new(store)),
-            Err(e) => {
-                finish_telemetry(&tel);
-                return Err(format!("cannot open tuning database {}: {e}", s.path.display()));
-            }
-        },
-        None => None,
-    };
-    let db_policy = plan.db.as_ref().map_or(DbPolicy::Serve, |s| s.policy);
-
-    let method = plan.method;
-    // Folds a finished task's log into the database: top-k measured
-    // configurations plus the decimated convergence curve, merged under
-    // the run-wide writer lock (append-then-apply, so a kill between the
-    // segment write and the in-memory update loses nothing).
-    let upsert_result = |task: &dnn_graph::task::TuningTask,
-                         log: &TuningLog|
-     -> Result<(), String> {
-        let Some(store) = &db else { return Ok(()) };
-        let space = space_for_task(task);
-        let mut ranked: Vec<&TrialRecord> = log.records.iter().filter(|r| r.gflops > 0.0).collect();
-        ranked.sort_by(|a, b| {
-            b.gflops.total_cmp(&a.gflops).then(a.config_index.cmp(&b.config_index))
-        });
-        let mut seen = BTreeSet::new();
-        let mut top_k = Vec::new();
-        for r in ranked {
-            if top_k.len() >= TOP_K {
-                break;
-            }
-            if !seen.insert(r.config_index) {
-                continue;
-            }
-            let cfg = space.config(r.config_index).map_err(|e| {
-                format!("bad config index {} in log of {}: {e}", r.config_index, task.name)
-            })?;
-            top_k.push(TopConfig {
-                config_index: r.config_index,
-                choices: cfg.choices,
-                gflops: r.gflops,
-                latency_s: r.latency_s,
-            });
-        }
-        if top_k.is_empty() {
-            // Every measurement failed; nothing worth remembering.
-            return Ok(());
-        }
-        let rec = DbRecord {
-            schema_version: DB_SCHEMA_VERSION,
-            spec: TaskSpec::of(task, &space, &plan.device_name),
-            feature: TaskSpec::features(task),
-            method: method.label().to_string(),
-            seed: plan.opts.seed,
-            n_trials: log.records.len() as u64,
-            best_gflops: top_k[0].gflops,
-            top_k,
-            curve: decimate_curve(&log.convergence_curve(), 64),
-        };
-        lock_or_recover(store)
-            .upsert(rec)
-            .map_err(|e| format!("cannot upsert {} into tuning database: {e}", task.name))
-    };
-    let ckpt_state = Mutex::new(CkptState {
-        completed: plan.checkpoint.completed_tasks.clone(),
-        appended: BTreeMap::new(),
-    });
-    // Checkpoint writes serialize under the state lock; the quarantine of
-    // every in-flight task is restricted to its durably-logged configs.
-    let write_ckpt =
-        |dir: &RunDir, st: &CkptState, in_flight: Option<&str>, trials: Option<u64>| {
-            let mut quarantine = m.inner().quarantine_snapshot();
-            for (task, allowed) in &st.appended {
-                quarantine.restrict(task, allowed);
-            }
-            dir.write_checkpoint(&Checkpoint {
-                schema_version: Some(CHECKPOINT_SCHEMA_VERSION),
-                completed_tasks: st.completed.clone(),
-                in_flight: in_flight.map(str::to_string),
-                trials_logged: trials,
-                quarantine: Some(quarantine),
-            })
-            .map_err(|e| format!("cannot write checkpoint: {e}"))
-        };
-    // Model-capture bookkeeping: records fold per task and the file is
-    // rewritten (atomically) whenever a task completes, so a killed run
-    // keeps the capture of every completed task across a resume — the
-    // early-return path below reads those records back instead of
-    // refitting models.
-    let capture = plan.opts.capture_model_or_default();
-    let prior_model_records: Vec<ModelPredRecord> = match &plan.run_dir {
-        Some(dir) if plan.resume && capture && dir.model_quality_path().is_file() => {
-            read_model_quality(&dir.model_quality_path())?
-        }
-        _ => Vec::new(),
-    };
-    let model_records: Mutex<BTreeMap<String, Vec<ModelPredRecord>>> = Mutex::new(BTreeMap::new());
-    let write_model_capture = |dir: &RunDir| -> Result<(), String> {
-        let by_task = lock_or_recover(&model_records);
-        let all: Vec<ModelPredRecord> = selected_names
-            .iter()
-            .filter_map(|name| by_task.get(name))
-            .flat_map(|recs| recs.iter().cloned())
-            .collect();
-        write_model_quality(&dir.model_quality_path(), &all)
-            .map_err(|e| format!("cannot write {MODEL_QUALITY_FILE}: {e}"))
-    };
-    let run_task = |task: &dnn_graph::task::TuningTask| -> Result<TuningLog, String> {
-        if let Some(dir) = &plan.run_dir {
-            if lock_or_recover(&ckpt_state).completed.contains(&task.name) {
-                // Finished before the kill: read the durable log back (and
-                // the task's capture records, written when it completed).
-                // Its database upsert was durable before the completion
-                // checkpoint, so no re-consultation happens here.
-                let f = std::fs::File::open(dir.log_path(&task.name))
-                    .map_err(|e| format!("cannot reopen log of {}: {e}", task.name))?;
-                let log = TuningLog::read_jsonl(std::io::BufReader::new(f))
-                    .map_err(|e| format!("bad log for completed task {}: {e}", task.name))?;
-                if capture {
-                    let prior: Vec<ModelPredRecord> = prior_model_records
-                        .iter()
-                        .filter(|rec| rec.task == task.name)
-                        .cloned()
-                        .collect();
-                    lock_or_recover(&model_records).insert(task.name.clone(), prior);
-                }
-                tel.report(|| {
-                    format!(
-                        "{:<18} already complete ({} trials) — skipped",
-                        log.task_name,
-                        log.records.len()
-                    )
-                });
-                return Ok(log);
-            }
-        }
-        // Database consultation happens before any measurement. A resumed
-        // task replays the seed pinned in the run dir — re-deriving from a
-        // store that has moved on since the kill would diverge — while a
-        // fresh task derives one (exact hit or nearest neighbors) and pins
-        // it before the first trial.
-        let db_seed: Option<WarmSeed> = if let Some(store) = &db {
-            let space = space_for_task(task);
-            let spec = TaskSpec::of(task, &space, &plan.device_name);
-            let pinned = match &plan.run_dir {
-                Some(dir) if plan.resume => dir
-                    .read_warm_start(&task.name)
-                    .map_err(|e| format!("bad warm-start seed for {}: {e}", task.name))?,
-                _ => None,
-            };
-            let seed = match pinned {
-                Some(s) => Some(s),
-                None => {
-                    let derived = {
-                        let store = lock_or_recover(store);
-                        match store.lookup(&spec) {
-                            Some(rec) if db_policy == DbPolicy::Serve => Some(WarmSeed {
-                                mode: "serve".into(),
-                                configs: rec.configs_for(&space, 1),
-                            }),
-                            Some(rec) => Some(WarmSeed {
-                                mode: "warm".into(),
-                                configs: rec.configs_for(&space, plan.opts.init_points.max(1)),
-                            }),
-                            None => {
-                                let feature = TaskSpec::features(task);
-                                let mut seen = BTreeSet::new();
-                                let mut configs = Vec::new();
-                                'neighbors: for n in store.nearest(&spec, &feature, 3) {
-                                    for cfg in n.configs_for(&space, TOP_K) {
-                                        if configs.len() >= plan.opts.init_points.max(1) {
-                                            break 'neighbors;
-                                        }
-                                        if seen.insert(cfg.index) {
-                                            configs.push(cfg);
-                                        }
-                                    }
-                                }
-                                (!configs.is_empty())
-                                    .then(|| WarmSeed { mode: "warm".into(), configs })
-                            }
-                        }
-                    };
-                    if let (Some(dir), Some(s)) = (&plan.run_dir, &derived) {
-                        dir.write_warm_start(&task.name, s).map_err(|e| {
-                            format!("cannot pin warm-start seed for {}: {e}", task.name)
-                        })?;
-                    }
-                    derived
-                }
-            };
-            let seed = seed.filter(|s| !s.configs.is_empty());
-            if let Some(s) = &seed {
-                tel.count(DB_WARM_START_COUNTER, 1);
-                tel.report(|| {
-                    format!(
-                        "{:<18} {} seed from db ({} configs)",
-                        task.name,
-                        s.mode,
-                        s.configs.len()
-                    )
-                });
-            }
-            seed
-        } else {
-            None
-        };
-        // Serve policy on an exact hit: one verifying measurement of the
-        // cached best replaces the whole tuning loop. A failed verification
-        // (the config no longer launches) falls through to full tuning
-        // warm-started from the same seed.
-        if let Some(seed) = db_seed.as_ref().filter(|s| s.mode == "serve") {
-            let cfg = &seed.configs[0];
-            let space = space_for_task(task);
-            let res = &m.measure_batch(task, &space, std::slice::from_ref(cfg))[0];
-            if res.gflops > 0.0 {
-                let rec = TrialRecord {
-                    config_index: cfg.index,
-                    gflops: res.gflops,
-                    latency_s: res.latency_s,
-                };
-                let mut log = TuningLog::new(task.name.clone(), method.label());
-                log.records.push(rec);
-                if let Some(dir) = &plan.run_dir {
-                    let mut w = dir
-                        .create_log(&task.name, method.label())
-                        .map_err(|e| format!("cannot create log of {}: {e}", task.name))?;
-                    w.append(&rec)
-                        .map_err(|e| format!("trial log of {} failed to write: {e}", task.name))?;
-                }
-                // Upsert before the completion checkpoint: a kill between
-                // the two re-serves the task on resume (idempotent merge)
-                // instead of silently losing the database write.
-                upsert_result(task, &log)?;
-                if let Some(dir) = &plan.run_dir {
-                    let mut st = lock_or_recover(&ckpt_state);
-                    st.completed.push(task.name.clone());
-                    write_ckpt(dir, &st, None, None)?;
-                }
-                tel.report(|| {
-                    format!(
-                        "{:<18} {:>9.1} GFLOPS served from db (1 verifying measurement)",
-                        task.name, res.gflops
-                    )
-                });
-                return Ok(log);
-            }
-            tel.report(|| format!("{}: cached best failed verification — retuning", task.name));
-        }
-        let warm: Option<Vec<schedule::Config>> = db_seed.map(|s| s.configs);
-        let r = if let Some(dir) = &plan.run_dir {
-            // Durable path: recover any partial log, replay it through the
-            // deterministic loop, and append every live trial before the
-            // tuner consumes it.
-            let (replay, mut writer) = {
-                let recovered = if plan.resume {
-                    dir.recover_log(&task.name)
-                        .map_err(|e| format!("cannot recover log of {}: {e}", task.name))?
-                } else {
-                    None
-                };
-                match recovered {
-                    Some((rec, w)) => {
-                        if rec.dropped_tail {
-                            tel.report(|| {
-                                format!("{}: dropped a half-written trial line", task.name)
-                            });
-                        }
-                        (rec.log.records, w)
-                    }
-                    None => (
-                        Vec::new(),
-                        dir.create_log(&task.name, method.label())
-                            .map_err(|e| format!("cannot create log of {}: {e}", task.name))?,
-                    ),
-                }
-            };
-            {
-                let mut st = lock_or_recover(&ckpt_state);
-                st.appended
-                    .insert(task.name.clone(), replay.iter().map(|rec| rec.config_index).collect());
-                write_ckpt(dir, &st, Some(&task.name), Some(replay.len() as u64))?;
-            }
-            let trials_logged = std::cell::Cell::new(replay.len() as u64);
-            let write_err: std::cell::RefCell<Option<String>> = std::cell::RefCell::new(None);
-            // Capture sink: the loop recomputes diagnostics for replayed
-            // trials too, so a resumed task rebuilds its full record set.
-            let mut task_records: Vec<ModelPredRecord> = Vec::new();
-            let mut model_sink = |rec: &ModelPredRecord| task_records.push(rec.clone());
-            let mut sink = |rec: &TrialRecord| {
-                if let Err(e) = writer.append(rec) {
-                    write_err.borrow_mut().get_or_insert(e.to_string());
-                }
-                trials_logged.set(trials_logged.get() + 1);
-                let mut st = lock_or_recover(&ckpt_state);
-                st.appended.entry(task.name.clone()).or_default().insert(rec.config_index);
-                if trials_logged.get().is_multiple_of(16) {
-                    let _ = write_ckpt(dir, &st, Some(&task.name), Some(trials_logged.get()));
-                }
-            };
-            let r = tune_task_with(
-                task,
-                &m,
-                method,
-                &plan.opts,
-                TuneHooks {
-                    on_trial: Some(&mut sink),
-                    on_model: Some(&mut model_sink),
-                    replay: Some(&replay),
-                    warm_start: warm.as_deref(),
-                },
-            );
-            if let Some(e) = write_err.into_inner() {
-                return Err(format!("trial log of {} failed to write: {e}", task.name));
-            }
-            // Upsert before the completion checkpoint (see the serve path).
-            upsert_result(task, &r.log)?;
-            {
-                let mut st = lock_or_recover(&ckpt_state);
-                st.appended.remove(&task.name);
-                st.completed.push(task.name.clone());
-                write_ckpt(dir, &st, None, None)?;
-            }
-            if capture {
-                lock_or_recover(&model_records).insert(task.name.clone(), task_records);
-                write_model_capture(dir)?;
-            }
-            r
-        } else {
-            let r = tune_task_with(
-                task,
-                &m,
-                method,
-                &plan.opts,
-                TuneHooks { warm_start: warm.as_deref(), ..TuneHooks::default() },
-            );
-            upsert_result(task, &r.log)?;
-            r
-        };
-        if let Some(diag) = &r.aborted {
-            tel.report(|| format!("{:<18} ABORTED: {diag}", r.task_name));
-        }
-        tel.report(|| {
-            format!(
-                "{:<18} {:>9.1} GFLOPS in {:>4} measurements ({method})",
-                r.task_name, r.best_gflops, r.num_measured
-            )
-        });
-        Ok(r.log)
-    };
-    // Task-level scheduling: up to --workers tasks in flight, sharing the
-    // executor's worker pool and devices (fair-shared per task name); the
-    // log vector folds back in task order, exactly as the serial loop.
-    let concurrency = plan.workers.min(selected.len()).max(1);
-    let outcomes = run_ordered(selected, concurrency, |_, i| run_task(&tasks[i]));
-    let mut logs = Vec::with_capacity(outcomes.len());
-    let mut first_err: Option<String> = None;
-    for outcome in outcomes {
-        match outcome {
-            Ok(log) => logs.push(log),
-            Err(e) => {
-                first_err.get_or_insert(e);
-            }
+    let db: Option<(Mutex<TuningDb>, DbPolicy)> = plan
+        .db
+        .as_ref()
+        .map(|(path, policy)| {
+            TuningDb::open(path, &LockOptions::default())
+                .map(|store| (Mutex::new(store), *policy))
+                .map_err(|e| format!("cannot open tuning database {}: {e}", path.display()))
+        })
+        .transpose()?;
+    // Tasks run up to --workers at a time, sharing the executor's worker
+    // pool and devices (fair-shared per task name). The session writes
+    // the manifest of a fresh run dir first, so a killed run is always
+    // resumable.
+    let session = TuneSession::open(SessionSpec {
+        tasks,
+        method: plan.method,
+        opts: plan.opts,
+        device: plan.device_name.clone(),
+        fault: plan.fault,
+        workers: plan.workers,
+        pool: DevicePool::with_hold(plan.devices, Duration::from_secs_f64(device_ms / 1000.0)),
+        lease_tag: None,
+        run_dir: plan.run_dir.clone().map(|dir| SessionDir {
+            dir,
+            manifest: plan.manifest(task_names.clone(), None),
+            resume: plan.resume.clone(),
+        }),
+        db: db.as_ref().map(|(store, policy)| (store, *policy)),
+    })?;
+    // Register the run up front (no wall time yet), so `aaltune runs`
+    // lists it as live/stale while it executes; the completion append
+    // below shadows this entry (the registry keeps the last per id).
+    // Best-effort: a killed run's logs can be torn mid-line until the
+    // resume repairs them, and observability must never block tuning.
+    let registry = plan.run_dir.as_ref().and_then(|d| d.path().parent()).map(Registry::at);
+    if let (Some(dir), Some(registry)) = (&plan.run_dir, &registry) {
+        if let Ok(entry) = RunEntry::from_run_dir(dir.path()) {
+            let _ = registry.append(&entry);
         }
     }
-    if let Some(e) = first_err {
-        finish_telemetry(&tel);
-        return Err(e);
-    }
+    let logs = session.run(plan.workers, None)?;
 
     if let Some(dir) = &plan.run_dir {
         // Stop the snapshot thread first: its final publish lands before
@@ -933,25 +485,16 @@ fn tune(cli: &Cli) -> Result<(), String> {
         if let Some(writer) = snapshot_writer.take() {
             writer.finish();
         }
-        // The capture file is complete before the manifest gains a wall
-        // time, so a "done" run always has its final model_quality.jsonl.
-        if capture {
-            write_model_capture(dir)?;
-        }
         // Rewrite the manifest with the final wall time (and the resumed
         // marker) now that the run is complete.
-        dir.write_manifest(
-            &plan.manifest(selected_names.clone(), Some(started.elapsed().as_secs_f64())),
-        )
-        .map_err(|e| format!("cannot write manifest: {e}"))?;
+        dir.write_manifest(&plan.manifest(task_names, Some(started.elapsed().as_secs_f64())))
+            .map_err(|e| format!("cannot write manifest: {e}"))?;
         // Flush counters into the trace before the registry reads it for
         // the health columns.
         tel.flush();
-        if let Some(base) = &plan.registry_base {
+        if let Some(registry) = &registry {
             let entry = RunEntry::from_run_dir(dir.path())?;
-            Registry::at(base)
-                .append(&entry)
-                .map_err(|e| format!("cannot update run registry: {e}"))?;
+            registry.append(&entry).map_err(|e| format!("cannot update run registry: {e}"))?;
         }
         tel.report(|| format!("wrote run artifacts to {}", dir.path().display()));
     }
@@ -964,7 +507,6 @@ fn tune(cli: &Cli) -> Result<(), String> {
         }
         tel.report(|| format!("wrote {} logs to {path}", logs.len()));
     }
-    finish_telemetry(&tel);
     Ok(())
 }
 
@@ -1027,15 +569,16 @@ fn db_cmd(cli: &Cli) -> Result<u8, String> {
 
 fn deploy(cli: &Cli) -> Result<(), String> {
     let model = model_arg(cli)?;
-    let method = method_by_name(cli.flag_str("method").unwrap_or("bted+bao"))?;
+    let method = Method::by_name(cli.flag_str("method").unwrap_or("bted+bao"))?;
     let opts = options(cli)?;
     let runs: usize = cli.flag("runs", 600)?;
     let workers: usize = cli.flag("workers", 1)?;
     if workers == 0 {
         return Err("--workers must be at least 1".to_string());
     }
-    let m = measurer(cli)?;
-    let tel = install_telemetry(cli, None)?;
+    let m = SimMeasurer::new(GpuDevice::by_name(cli.flag_str("device").unwrap_or("gtx1080ti"))?);
+    let tel = install_telemetry(cli, None, false, None)?;
+    let _uninstall = Uninstall(tel.clone());
     let r = tune_model_parallel(&model, &m, method, &opts, runs, workers);
     tel.report(|| {
         format!(
@@ -1049,7 +592,6 @@ fn deploy(cli: &Cli) -> Result<(), String> {
             r.total_measurements
         )
     });
-    finish_telemetry(&tel);
     Ok(())
 }
 
@@ -1299,12 +841,15 @@ fn client_cmd(cli: &Cli) -> Result<u8, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use active_learning::TuningLog;
 
-    /// Runs one command at a time: `tune` installs the process-wide
+    /// Held by every command a test runs: `tune` installs the process-wide
     /// telemetry handle, so a tune on another test thread would publish its
     /// trials into this test's live registry (and vice versa).
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    /// Runs one command at a time (see [`SERIAL`]).
     fn dispatch(args: &[String]) -> Result<u8, String> {
-        static SERIAL: Mutex<()> = Mutex::new(());
         let _one_at_a_time = telemetry::sync::lock_or_recover(&SERIAL);
         super::dispatch(args)
     }
@@ -1559,6 +1104,37 @@ mod tests {
         assert!(base.join("on").join(run).join(telemetry::SNAPSHOT_FILE).is_file());
         assert!(!base.join("off").join(run).join(telemetry::SNAPSHOT_FILE).exists());
         assert!(!base.join("off").join(run).join(telemetry::PROM_FILE).exists());
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    #[test]
+    fn failed_resume_uninstalls_telemetry() {
+        let base = std::env::temp_dir().join(format!("aaltune-cli-badmq-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let _one_at_a_time = telemetry::sync::lock_or_recover(&SERIAL);
+        super::dispatch(&sv(&[
+            "tune",
+            "squeezenet",
+            "--task",
+            "0",
+            "--n-trial",
+            "20",
+            "--method",
+            "autotvm",
+            "--quiet",
+            "--out",
+            base.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let run = base.join("squeezenet_v1.1-autotvm-seed0");
+        std::fs::write(run.join(MODEL_QUALITY_FILE), "not a header\n").unwrap();
+        let e = super::dispatch(&sv(&["tune", "--resume", run.to_str().unwrap(), "--quiet"]))
+            .unwrap_err();
+        assert!(e.contains("bad header"), "{e}");
+        assert!(
+            !telemetry::global().is_enabled(),
+            "a failed tune must flush and uninstall its telemetry pipeline"
+        );
         std::fs::remove_dir_all(&base).unwrap();
     }
 

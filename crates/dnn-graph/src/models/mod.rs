@@ -25,6 +25,28 @@ pub use vgg::{vgg16, vgg19};
 use crate::graph::{Graph, NodeId};
 use crate::ops::{Padding, Pool2dAttrs, PoolKind};
 
+/// Resolves a model name (batch size 1), accepting the short aliases
+/// `mobilenet` and `squeezenet`.
+///
+/// # Errors
+///
+/// Returns an error listing the valid names.
+pub fn by_name(name: &str) -> Result<Graph, String> {
+    match name {
+        "alexnet" => Ok(alexnet(1)),
+        "resnet18" => Ok(resnet18(1)),
+        "resnet34" => Ok(resnet34(1)),
+        "vgg16" => Ok(vgg16(1)),
+        "vgg19" => Ok(vgg19(1)),
+        "mobilenet_v1" | "mobilenet" => Ok(mobilenet_v1(1)),
+        "squeezenet_v1.1" | "squeezenet" => Ok(squeezenet_v1_1(1)),
+        other => Err(format!(
+            "unknown model `{other}` (alexnet, resnet18, resnet34, vgg16, vgg19, \
+             mobilenet_v1, squeezenet_v1.1)"
+        )),
+    }
+}
+
 /// All five paper models, in Table I order.
 #[must_use]
 pub fn paper_models(batch: usize) -> Vec<Graph> {

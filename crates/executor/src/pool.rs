@@ -65,13 +65,6 @@ impl ExecutorConfig {
         self
     }
 
-    /// Overrides the per-stage queue capacity.
-    #[must_use]
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity.max(1);
-        self
-    }
-
     /// Enables device occupancy emulation: each lease holds its device for
     /// at least `hold` of real time.
     #[must_use]
@@ -174,10 +167,8 @@ pub struct Executor<M> {
     measurer: Arc<M>,
     build_q: Arc<BoundedQueue<BuildJob>>,
     run_q: Arc<BoundedQueue<RunJob>>,
-    devices: Arc<DevicePool>,
     builders: Vec<JoinHandle<()>>,
     runners: Vec<JoinHandle<()>>,
-    config: ExecutorConfig,
 }
 
 impl<M: Measurer + Send + Sync + 'static> Executor<M> {
@@ -232,25 +223,13 @@ impl<M: Measurer + Send + Sync + 'static> Executor<M> {
                     .expect("spawn runner")
             })
             .collect();
-        Executor { measurer, build_q, run_q, devices, builders, runners, config }
+        Executor { measurer, build_q, run_q, builders, runners }
     }
 
     /// The wrapped measurer (e.g. for quarantine snapshots).
     #[must_use]
     pub fn inner(&self) -> &M {
         &self.measurer
-    }
-
-    /// The pool configuration this executor runs with.
-    #[must_use]
-    pub fn pool_config(&self) -> &ExecutorConfig {
-        &self.config
-    }
-
-    /// The shared device pool (diagnostics).
-    #[must_use]
-    pub fn device_pool(&self) -> &Arc<DevicePool> {
-        &self.devices
     }
 
     /// Submits a batch without waiting; pushes block under backpressure.

@@ -46,6 +46,20 @@ impl GpuDevice {
         self.max_threads_per_sm / self.warp_size
     }
 
+    /// Resolves a device preset name, accepting `1080ti` and `tx2`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error listing the valid names.
+    pub fn by_name(name: &str) -> Result<GpuDevice, String> {
+        match name {
+            "gtx1080ti" | "1080ti" => Ok(GpuDevice::gtx_1080_ti()),
+            "v100" => Ok(GpuDevice::tesla_v100()),
+            "jetson" | "tx2" => Ok(GpuDevice::jetson_tx2()),
+            other => Err(format!("unknown device `{other}` (gtx1080ti, v100, jetson)")),
+        }
+    }
+
     /// The paper's test device: Nvidia GeForce GTX 1080 Ti (Pascal GP102).
     #[must_use]
     pub fn gtx_1080_ti() -> Self {

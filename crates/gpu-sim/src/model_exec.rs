@@ -109,12 +109,6 @@ impl ModelDeployment {
         }
         ModelDeployment { model_name: graph.name.clone(), kernels }
     }
-
-    /// Noise-free end-to-end latency in milliseconds.
-    #[must_use]
-    pub fn base_latency_ms(&self) -> f64 {
-        self.kernels.iter().map(|k| k.latency_s).sum::<f64>() * 1e3
-    }
 }
 
 /// Vendor-library estimate for an un-tuned anchor: a well-optimized but not

@@ -10,7 +10,7 @@
 //! through the same replay machinery `tune --resume` uses.
 
 use active_learning::Method;
-use dnn_graph::{models, Graph};
+use dnn_graph::models;
 use gpu_sim::GpuDevice;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
@@ -27,17 +27,17 @@ pub const MAX_TENANT_LEN: usize = 64;
 pub struct JobSpec {
     /// Submitting tenant; device quotas and fair share key off this.
     pub tenant: String,
-    /// Model name (see [`model_by_name`]).
+    /// Model name (see [`models::by_name`]).
     pub model: String,
     /// Task index within the model (`None` = every task).
     pub task: Option<usize>,
-    /// Method label (see [`method_by_name`]).
+    /// Method label (see [`Method::by_name`]).
     pub method: String,
     /// Trial budget per task.
     pub n_trial: usize,
     /// Master seed.
     pub seed: u64,
-    /// Simulated device preset (see [`device_by_name`]).
+    /// Simulated device preset (see [`GpuDevice::by_name`]).
     pub device: String,
     /// Scheduling priority within the tenant (higher first).
     pub priority: u8,
@@ -109,15 +109,15 @@ impl JobSpec {
         if self.n_trial == 0 || self.n_trial > MAX_TRIALS {
             return Err(format!("field `n_trial` must be in 1..={MAX_TRIALS}"));
         }
-        let graph = model_by_name(&self.model)?;
+        let graph = models::by_name(&self.model)?;
         if let Some(i) = self.task {
             let n = dnn_graph::task::extract_tasks(&graph).len();
             if i >= n {
                 return Err(format!("task index {i} out of range (model has {n})"));
             }
         }
-        method_by_name(&self.method)?;
-        device_by_name(&self.device)?;
+        Method::by_name(&self.method)?;
+        GpuDevice::by_name(&self.device)?;
         Ok(())
     }
 }
@@ -160,57 +160,6 @@ pub struct JournalLine {
     pub spec: Option<JobSpec>,
     /// Failure diagnostic (failed entries only).
     pub error: Option<String>,
-}
-
-/// Resolves a model name (the CLI's resolver, duplicated because `cli`
-/// is a binary crate; `bench` does the same).
-///
-/// # Errors
-///
-/// Returns an error listing the valid names.
-pub fn model_by_name(name: &str) -> Result<Graph, String> {
-    match name {
-        "alexnet" => Ok(models::alexnet(1)),
-        "resnet18" => Ok(models::resnet18(1)),
-        "resnet34" => Ok(models::resnet34(1)),
-        "vgg16" => Ok(models::vgg16(1)),
-        "vgg19" => Ok(models::vgg19(1)),
-        "mobilenet_v1" | "mobilenet" => Ok(models::mobilenet_v1(1)),
-        "squeezenet_v1.1" | "squeezenet" => Ok(models::squeezenet_v1_1(1)),
-        other => Err(format!(
-            "unknown model `{other}` (alexnet, resnet18, resnet34, vgg16, vgg19, \
-             mobilenet_v1, squeezenet_v1.1)"
-        )),
-    }
-}
-
-/// Resolves a method label.
-///
-/// # Errors
-///
-/// Returns an error listing the valid labels.
-pub fn method_by_name(name: &str) -> Result<Method, String> {
-    match name {
-        "random" => Ok(Method::Random),
-        "autotvm" => Ok(Method::AutoTvm),
-        "bted" => Ok(Method::Bted),
-        "bted+bao" | "bao" | "ours" => Ok(Method::BtedBao),
-        other => Err(format!("unknown method `{other}` (random, autotvm, bted, bted+bao)")),
-    }
-}
-
-/// Resolves a device preset.
-///
-/// # Errors
-///
-/// Returns an error listing the valid names.
-pub fn device_by_name(name: &str) -> Result<GpuDevice, String> {
-    match name {
-        "gtx1080ti" | "1080ti" => Ok(GpuDevice::gtx_1080_ti()),
-        "v100" => Ok(GpuDevice::tesla_v100()),
-        "jetson" | "tx2" => Ok(GpuDevice::jetson_tx2()),
-        other => Err(format!("unknown device `{other}` (gtx1080ti, v100, jetson)")),
-    }
 }
 
 #[cfg(test)]

@@ -23,7 +23,9 @@ pub mod http;
 pub mod job;
 pub mod runner;
 pub mod server;
+pub mod session;
 
 pub use admission::{Admission, Reject, SubmitError};
 pub use job::{JobSpec, JobState, JournalLine};
 pub use server::{ServeConfig, Server};
+pub use session::{DbPolicy, SessionDir, SessionSpec, TuneSession};

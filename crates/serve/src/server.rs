@@ -21,7 +21,7 @@
 
 use crate::admission::{Admission, SubmitError};
 use crate::http::{Conn, ReadOutcome, Request, IDLE_POLL};
-use crate::job::{device_by_name, model_by_name, JobSpec, JobState, JournalLine};
+use crate::job::{JobSpec, JobState, JournalLine};
 use crate::runner::run_job;
 use dnn_graph::task::extract_tasks;
 use executor::{BoundedQueue, DevicePool};
@@ -492,7 +492,7 @@ fn get_best(shared: &Arc<Shared>, conn: &mut Conn, req: &Request) -> std::io::Re
         }
     };
     let device = req.query.get("device").map_or("gtx1080ti", String::as_str);
-    if let Err(e) = device_by_name(device) {
+    if let Err(e) = gpu_sim::GpuDevice::by_name(device) {
         return conn.respond_json(400, &json!({ "error": e }));
     }
     let key = format!("{model}/{task_idx}/{device}");
@@ -500,7 +500,7 @@ fn get_best(shared: &Arc<Shared>, conn: &mut Conn, req: &Request) -> std::io::Re
     let (spec, feature) = match cached {
         Some(hit) => hit,
         None => {
-            let graph = match model_by_name(model) {
+            let graph = match dnn_graph::models::by_name(model) {
                 Ok(g) => g,
                 Err(e) => return conn.respond_json(400, &json!({ "error": e })),
             };

@@ -152,26 +152,73 @@ fn full_job_lifecycle_read_path_and_event_stream() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// Runs a twin server to completion, then reconstructs a "crashed" root
-/// (journal acknowledges both jobs; one run dir torn mid-task, the other
-/// never started) and requires the restarted server to finish both with
-/// trial logs byte-identical to the twin's.
+/// Runs a twin server to completion, snapshotting what a kill -9 mid-task
+/// would leave of one job along the way, then builds a "crashed" root
+/// (journal acknowledges both jobs; one run dir killed mid-task, the
+/// other never started) and requires the restarted server to finish both
+/// with trial logs byte-identical to the twin's. The killed job has
+/// quarantined invalid configurations by then, and its checkpoint must
+/// carry them, restricted to configurations already in its log.
 #[test]
 fn restart_resumes_queue_with_byte_identical_logs() {
     let twin_root = temp_root("twin");
-    let twin = Server::start(config(&twin_root)).expect("twin starts");
+    let crash_root = temp_root("crash");
+    let cfg = ServeConfig { device_hold: Duration::from_millis(2), ..config(&twin_root) };
+    let twin = Server::start(cfg).expect("twin starts");
     let addr = twin.addr().to_string();
-    let j1 = submit(&addr, &spec("alpha", 3, 40));
+    let j1 = submit(&addr, &spec("alpha", 3, 400));
     let j2 = submit(&addr, &spec("beta", 9, 24));
+
+    // "Kill" j1 at a mid-task checkpoint that carries a quarantine: copy
+    // the checkpoint first, then the manifest and log, which are always at
+    // least as far along (possibly ending in a torn line).
+    let twin_j1 = twin_root.join("jobs").join(&j1);
+    let crash_j1 = crash_root.join("jobs").join(&j1);
+    std::fs::create_dir_all(crash_j1.join("logs")).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let checkpoint: active_learning::Checkpoint = loop {
+        if let Ok(text) = std::fs::read_to_string(twin_j1.join("checkpoint.json")) {
+            let c: active_learning::Checkpoint = serde_json::from_str(&text).unwrap();
+            if c.in_flight.is_some() && c.quarantine.as_ref().is_some_and(|q| !q.is_empty()) {
+                std::fs::write(crash_j1.join("checkpoint.json"), &text).unwrap();
+                break c;
+            }
+            assert!(c.completed_tasks.is_empty(), "j1 finished before quarantining: {text}");
+        }
+        assert!(Instant::now() < deadline, "timeout waiting for a mid-task checkpoint");
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    std::fs::copy(twin_j1.join("manifest.json"), crash_j1.join("manifest.json")).unwrap();
+    let log_name = std::fs::read_dir(twin_j1.join("logs"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .find(|n| n.to_string_lossy().ends_with(".jsonl"))
+        .expect("twin j1 task log");
+    let torn = std::fs::read(twin_j1.join("logs").join(&log_name)).unwrap();
+    std::fs::write(crash_j1.join("logs").join(&log_name), &torn).unwrap();
+    let logged: std::collections::BTreeSet<u64> = active_learning::TuningLog::recover_jsonl(&torn)
+        .unwrap()
+        .log
+        .records
+        .iter()
+        .map(|r| r.config_index)
+        .collect();
+    let quarantined = checkpoint.quarantine.unwrap().indices_for(&checkpoint.in_flight.unwrap());
+    assert!(!quarantined.is_empty(), "j1 must have quarantined an invalid config");
+    assert!(
+        quarantined.iter().all(|i| logged.contains(i)),
+        "checkpointed quarantine {quarantined:?} must only name logged configs"
+    );
+
     wait_done(&addr, &j1);
     wait_done(&addr, &j2);
     twin.shutdown();
     twin.wait();
+    let full_log = std::fs::read(twin_j1.join("logs").join(&log_name)).unwrap();
+    assert!(full_log.len() > torn.len(), "the twin log must extend past the tear");
 
-    // Build the crashed root: journal as of the 202 acks (no terminal
-    // lines — the "crash" predates both completions)...
-    let crash_root = temp_root("crash");
-    std::fs::create_dir_all(crash_root.join("jobs")).unwrap();
+    // The crashed root's journal as of the 202 acks (no terminal lines:
+    // the "crash" predates both completions)...
     let submitted: String = std::fs::read_to_string(twin_root.join("journal.jsonl"))
         .unwrap()
         .lines()
@@ -179,36 +226,6 @@ fn restart_resumes_queue_with_byte_identical_logs() {
         .map(|l| format!("{l}\n"))
         .collect();
     std::fs::write(crash_root.join("journal.jsonl"), submitted).unwrap();
-
-    // ...j1's run dir torn mid-task: log truncated on a line boundary
-    // after 11 lines (header + 10 trials), checkpoint mid-flight...
-    let twin_j1 = twin_root.join("jobs").join(&j1);
-    let log_name = std::fs::read_dir(twin_j1.join("logs"))
-        .unwrap()
-        .map(|e| e.unwrap().file_name())
-        .find(|n| n.to_string_lossy().ends_with(".jsonl"))
-        .expect("twin j1 task log");
-    let crash_j1 = active_learning::records::RunDir::create(crash_root.join("jobs").join(&j1))
-        .expect("crashed run dir");
-    std::fs::copy(twin_j1.join("manifest.json"), crash_j1.path().join("manifest.json")).unwrap();
-    let full_log = std::fs::read_to_string(twin_j1.join("logs").join(&log_name)).unwrap();
-    let torn: String = full_log.lines().take(11).map(|l| format!("{l}\n")).collect();
-    assert!(full_log.len() > torn.len(), "the twin log must extend past the tear");
-    std::fs::write(twin_j1.join("logs").join(&log_name), &full_log).unwrap();
-    std::fs::write(crash_j1.path().join("logs").join(&log_name), &torn).unwrap();
-    let task_name = {
-        let header: Value = serde_json::from_str(full_log.lines().next().unwrap()).unwrap();
-        header["task_name"].as_str().unwrap().to_string()
-    };
-    crash_j1
-        .write_checkpoint(&active_learning::Checkpoint {
-            schema_version: Some(active_learning::CHECKPOINT_SCHEMA_VERSION),
-            completed_tasks: Vec::new(),
-            in_flight: Some(task_name),
-            trials_logged: Some(10),
-            quarantine: None,
-        })
-        .unwrap();
     // ...and j2 not started at all (journaled, no run dir).
 
     let server = Server::start(config(&crash_root)).expect("restarted server");

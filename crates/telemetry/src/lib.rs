@@ -403,30 +403,16 @@ pub fn install_pipeline(
     quiet: bool,
     json: bool,
 ) -> std::io::Result<Telemetry> {
-    install_pipeline_mode(trace, quiet, json, false)
+    install_pipeline_live(trace, quiet, json, false, None)
 }
 
-/// [`install_pipeline`] with an explicit trace-file mode: when `append`
-/// is set the trace file is extended instead of truncated, which is what
-/// a crash-safe resume wants — its fresh [`Record::Schema`] header marks
-/// a new process segment in the same trace.
-///
-/// # Errors
-///
-/// Propagates trace-file open errors.
-pub fn install_pipeline_mode(
-    trace: Option<&std::path::Path>,
-    quiet: bool,
-    json: bool,
-    append: bool,
-) -> std::io::Result<Telemetry> {
-    install_pipeline_live(trace, quiet, json, append, None)
-}
-
-/// [`install_pipeline_mode`] with an optional live [`MetricsRegistry`]
-/// attached to the installed handle, so every instrumentation site in the
-/// process publishes live metrics without code changes. The registry never
-/// changes what reaches the trace file.
+/// [`install_pipeline`] with an explicit trace-file mode and an optional
+/// live [`MetricsRegistry`]. When `append` is set the trace file is
+/// extended instead of truncated, which is what a crash-safe resume wants:
+/// its fresh [`Record::Schema`] header marks a new process segment in the
+/// same trace. The registry is attached to the installed handle, so every
+/// instrumentation site in the process publishes live metrics without code
+/// changes; it never changes what reaches the trace file.
 ///
 /// # Errors
 ///

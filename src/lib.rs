@@ -38,4 +38,3 @@ pub use executor;
 pub use gbt;
 pub use gpu_sim;
 pub use schedule;
-pub use tensor_exec;
